@@ -6,6 +6,7 @@ import (
 	"os"
 	"slices"
 	"testing"
+	"time"
 
 	"holistic"
 	"holistic/internal/column"
@@ -152,4 +153,21 @@ func TestBenchmarkJSONMatches(t *testing.T) {
 
 func sortedKeys[V any](m map[string]V) []string {
 	return slices.Sorted(maps.Keys(m))
+}
+
+func TestPerOpMedianKeepsOnlyRepeatedCosts(t *testing.T) {
+	ms := time.Millisecond
+	rounds := [][]time.Duration{
+		{1 * ms, 9 * ms, 5 * ms},
+		{1 * ms, 1 * ms, 5 * ms},
+		{1 * ms, 1 * ms, 1 * ms},
+		{9 * ms, 1 * ms, 5 * ms},
+		{1 * ms, 1 * ms, 1 * ms},
+	}
+	// A stall in one round is dropped; a cost paid in three of five
+	// rounds is kept.
+	want := []time.Duration{1 * ms, 1 * ms, 5 * ms}
+	if got := perOpMedian(rounds); !slices.Equal(got, want) {
+		t.Errorf("perOpMedian = %v, want %v", got, want)
+	}
 }

@@ -243,7 +243,7 @@ func closeAll(ss []*holistic.Store) {
 
 // setupReps is how many times setup builds a workload's stores; every
 // repetition's time is a setup_s sample.
-const setupReps = 3
+const setupReps = 7
 
 // setup builds the workload's stores setupReps times, keeps the last
 // set and returns every repetition's time. Durable stores get a fresh
