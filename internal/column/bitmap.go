@@ -261,49 +261,38 @@ func (b *Bitmap) AppendPositionsWords(dst PosList, fromWord, toWord int) PosList
 func (b *Bitmap) Words() int { return len(b.words) }
 
 // denseLanes is the per-word popcount at and above which the filter
-// kernels evaluate all 64 lanes branch-free and mask, rather than
-// probing set bit by set bit: on dense words the straight-line loop
+// and sum kernels walk all 64 lanes in order and mask, rather than
+// visiting set bit by set bit: on dense words the straight-line loop
 // beats the dependent find-first-set chain.
 const denseLanes = 32
-
-// signBit biases int64 values into order-preserving uint64 space, so
-// lo <= v < hi collapses to one unsigned compare: (u(v)-u(lo)) < span.
-const signBit = 1 << 63
-
-// rangeBits returns the biased lower bound and span of [lo, hi). A
-// value qualifies iff (uint64(v)^signBit)-ulo < span — evaluated
-// branch-free through the bits.Sub64 borrow, so 50%-selective scans pay
-// no branch mispredictions. Callers must handle hi <= lo themselves
-// (the span would wrap).
-//
-//holistic:noalloc
-func rangeBits(lo, hi int64) (ulo, span uint64) {
-	ulo = uint64(lo) ^ signBit
-	return ulo, (uint64(hi) ^ signBit) - ulo
-}
 
 // filterWord evaluates the range predicate for the lanes of one
 // 64-position word and returns w intersected with the outcome. Lanes at
 // or beyond len(vals) never qualify (mirroring FilterRows, which drops
-// positions without a value).
+// positions without a value). Dense words evaluate all 64 lanes and
+// shift each predicate bit in at the top; sparse words visit set bits
+// only and keep each one by masking it with the predicate bit.
 //
 //holistic:noalloc
 func filterWord(vals []int64, base int, w uint64, ulo, span uint64) uint64 {
 	end := len(vals) - base
 	if end >= 64 && bits.OnesCount64(w) >= denseLanes {
 		var m uint64
-		for j, v := range vals[base : base+64] {
-			_, lt := bits.Sub64((uint64(v)^signBit)-ulo, span, 0)
-			m |= lt << uint(j)
+		for _, v := range vals[base : base+64] {
+			m = m>>1 | inRange(v, ulo, span)<<63
 		}
 		return w & m
+	}
+	if end <= 0 {
+		return 0
+	}
+	if end < 64 {
+		w &= 1<<uint(end) - 1
 	}
 	var m uint64
 	for t := w; t != 0; t &= t - 1 {
 		j := bits.TrailingZeros64(t)
-		if j < end && (uint64(vals[base+j])^signBit)-ulo < span {
-			m |= 1 << uint(j)
-		}
+		m |= inRange(vals[base+j], ulo, span) << uint(j)
 	}
 	return m
 }
@@ -335,11 +324,10 @@ func scanWords(vals []int64, lo, hi int64, words []uint64, start, end int) {
 			stop = end
 		}
 		var w uint64
-		for j, v := range vals[p:stop] {
-			_, lt := bits.Sub64((uint64(v)^signBit)-ulo, span, 0)
-			w |= lt << uint(j)
+		for _, v := range vals[p:stop] {
+			w = w>>1 | inRange(v, ulo, span)<<63
 		}
-		words[p>>6] = w
+		words[p>>6] = w >> uint(64-(stop-p))
 		p = stop
 	}
 }
@@ -447,13 +435,25 @@ func FetchBitmapAppend(vals []int64, b *Bitmap, dst []int64) []int64 {
 }
 
 // SumBitmap folds sum(vals[p]) over the qualifying positions without
-// materializing anything. Every set position must be < len(vals).
+// materializing anything. Every set position must be < len(vals). Dense
+// words add all 64 lanes, each masked by its bit, instead of walking
+// the set bits.
 //
 //holistic:noalloc
 func SumBitmap(vals []int64, b *Bitmap) int64 {
 	var s int64
 	for wi, w := range b.words {
+		if w == 0 {
+			continue
+		}
 		base := wi << 6
+		if base+64 <= len(vals) && bits.OnesCount64(w) >= denseLanes {
+			for _, v := range vals[base : base+64] {
+				s += v & -int64(w&1)
+				w >>= 1
+			}
+			continue
+		}
 		for ; w != 0; w &= w - 1 {
 			s += vals[base+bits.TrailingZeros64(w)]
 		}
@@ -522,6 +522,11 @@ func (w View) FilterBitmap(b *Bitmap, lo, hi int64, workers int) {
 		ParallelFilterBitmap(w.Base, b, lo, hi, workers)
 		return
 	}
+	if hi <= lo {
+		clear(b.words)
+		return
+	}
+	ulo, span := rangeBits(lo, hi)
 	for wi, word := range b.words {
 		if word == 0 {
 			continue
@@ -530,7 +535,7 @@ func (w View) FilterBitmap(b *Bitmap, lo, hi int64, workers int) {
 		base := Pos(wi << 6)
 		for t := word; t != 0; t &= t - 1 {
 			j := bits.TrailingZeros64(t)
-			if v, ok := w.At(base + Pos(j)); ok && v >= lo && v < hi {
+			if v, ok := w.At(base + Pos(j)); ok && inRange(v, ulo, span) == 1 {
 				m |= 1 << uint(j)
 			}
 		}

@@ -6,10 +6,19 @@
 // relational table is vertically fragmented into one dense array per
 // attribute, values of one tuple share the same position across arrays,
 // and operators work on whole columns at a time with tight for loops.
+//
+// Every range kernel (count, sum, min/max, position-list scan and
+// filter, bitmap scan and filter) is branch-free on the predicate
+// lo <= v < hi. Values and bounds are biased by the sign bit into
+// order-preserving uint64 space, where the predicate is one unsigned
+// compare; its bits.Sub64 borrow (0 or 1, from inRange) is added to
+// counts, masks values into sums and advances the output cursor of
+// position lists, whose candidates are written unconditionally.
 package column
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -55,16 +64,88 @@ func (c *Column) Append(v int64) Pos {
 	return Pos(len(c.vals) - 1)
 }
 
+// signBit biases int64 values into order-preserving uint64 space, so
+// lo <= v < hi collapses to one unsigned compare: (u(v)-u(lo)) < span.
+const signBit = 1 << 63
+
+// rangeBits returns the biased lower bound and span of [lo, hi), the
+// operands of inRange. Callers must handle hi <= lo themselves (the span
+// would wrap); every kernel returns early on it.
+//
+//holistic:noalloc
+func rangeBits(lo, hi int64) (ulo, span uint64) {
+	ulo = uint64(lo) ^ signBit
+	return ulo, (uint64(hi) ^ signBit) - ulo
+}
+
+// inRange is the range predicate every scan and filter kernel shares: 1
+// if lo <= v < hi, else 0, for (ulo, span) = rangeBits(lo, hi). After the
+// sign bias the test is one unsigned compare whose outcome is the
+// bits.Sub64 borrow, so kernels add it to a count, mask a value with its
+// negation or advance an output cursor by it instead of branching on it:
+// with lo uniform over the domain a branch would mispredict on about half
+// the values at any selectivity.
+//
+//holistic:noalloc
+func inRange(v int64, ulo, span uint64) uint64 {
+	_, borrow := bits.Sub64((uint64(v)^signBit)-ulo, span, 0)
+	return borrow
+}
+
 // ScanRange returns the positions p with lo <= vals[p] < hi, in position
 // order. This is the no-indexing select operator: O(N) data accesses.
 func ScanRange(vals []int64, lo, hi int64) PosList {
-	out := make(PosList, 0, len(vals)/8)
-	for i, v := range vals {
-		if v >= lo && v < hi {
-			out = append(out, Pos(i))
-		}
+	return appendRange(make(PosList, 0, len(vals)/8), vals, 0, lo, hi)
+}
+
+// appendRange appends base+i for every i with lo <= vals[i] < hi to dst.
+// Each candidate position is written unconditionally into dst's spare
+// capacity and the cursor advances by the predicate bit. Once the list
+// is full, the next qualifying position is appended the ordinary way, so
+// the list grows exactly as often, and to the same sizes, as an append
+// loop's would.
+//
+//holistic:noalloc
+func appendRange(dst PosList, vals []int64, base Pos, lo, hi int64) PosList {
+	if hi <= lo {
+		return dst
 	}
-	return out
+	ulo, span := rangeBits(lo, hi)
+	for i := 0; i < len(vals); {
+		if len(dst) == cap(dst) {
+			for i < len(vals) && inRange(vals[i], ulo, span) == 0 {
+				i++
+			}
+			if i == len(vals) {
+				break
+			}
+			dst = append(dst, base+Pos(i))
+			i++
+			continue
+		}
+		blk := vals[i:min(len(vals), i+cap(dst)-len(dst))]
+		dst = dst[:len(dst)+writeRange(dst[len(dst):cap(dst)], blk, base+Pos(i), ulo, span)]
+		i += len(blk)
+	}
+	return dst
+}
+
+// writeRange writes pos, pos+1, ... for the values of blk into out,
+// advancing by the predicate bit, and returns how many qualified; out
+// must be at least as long as blk. It is kept out of line: inlined into
+// appendRange, beside the growth path's runtime call, its loop counters
+// would live on the stack.
+//
+//holistic:noalloc
+//go:noinline
+func writeRange(out PosList, blk []int64, pos Pos, ulo, span uint64) int {
+	var k uint64
+	for _, v := range blk {
+		out[k] = pos
+		pos++
+		k += inRange(v, ulo, span)
+	}
+	return int(k)
 }
 
 // CountRange returns |{p : lo <= vals[p] < hi}| without materializing
@@ -72,13 +153,15 @@ func ScanRange(vals []int64, lo, hi int64) PosList {
 //
 //holistic:noalloc
 func CountRange(vals []int64, lo, hi int64) int {
-	n := 0
-	for _, v := range vals {
-		if v >= lo && v < hi {
-			n++
-		}
+	if hi <= lo {
+		return 0
 	}
-	return n
+	ulo, span := rangeBits(lo, hi)
+	var n uint64
+	for _, v := range vals {
+		n += inRange(v, ulo, span)
+	}
+	return int(n)
 }
 
 // SumRange returns the sum of qualifying values; the cheapest aggregate
@@ -86,32 +169,42 @@ func CountRange(vals []int64, lo, hi int64) int {
 //
 //holistic:noalloc
 func SumRange(vals []int64, lo, hi int64) int64 {
+	if hi <= lo {
+		return 0
+	}
+	ulo, span := rangeBits(lo, hi)
 	var s int64
 	for _, v := range vals {
-		if v >= lo && v < hi {
-			s += v
-		}
+		s += v & -int64(inRange(v, ulo, span))
 	}
 	return s
 }
 
 // MinMaxRange returns the minimum and maximum of the qualifying values
-// and how many qualified; min/max are meaningful only when n > 0.
+// and how many qualified; min/max are meaningful only when n > 0. A
+// value that does not qualify enters the folds as hi-1 (for the min)
+// and lo (for the max), which no qualifying value loses to.
 //
 //holistic:noalloc
 func MinMaxRange(vals []int64, lo, hi int64) (mn, mx int64, n int) {
-	for _, v := range vals {
-		if v >= lo && v < hi {
-			if n == 0 || v < mn {
-				mn = v
-			}
-			if n == 0 || v > mx {
-				mx = v
-			}
-			n++
-		}
+	if hi <= lo {
+		return 0, 0, 0
 	}
-	return mn, mx, n
+	ulo, span := rangeBits(lo, hi)
+	top := hi - 1
+	mn, mx = top, lo
+	var c uint64
+	for _, v := range vals {
+		q := inRange(v, ulo, span)
+		m := -int64(q)
+		mn = min(mn, top^(v^top)&m)
+		mx = max(mx, lo^(v^lo)&m)
+		c += q
+	}
+	if c == 0 {
+		return 0, 0, 0
+	}
+	return mn, mx, int(c)
 }
 
 // ParallelCountRange splits vals into workers contiguous chunks counted
@@ -250,14 +343,7 @@ func ParallelScanRange(vals []int64, lo, hi int64, workers int) PosList {
 		wg.Add(1)
 		go func(w, start, end int) {
 			defer wg.Done()
-			local := ws.lists[w]
-			for i := start; i < end; i++ {
-				v := vals[i]
-				if v >= lo && v < hi {
-					local = append(local, Pos(i))
-				}
-			}
-			ws.lists[w] = local
+			ws.lists[w] = appendRange(ws.lists[w], vals[start:end], Pos(start), lo, hi)
 		}(w, start, end)
 	}
 	wg.Wait()
@@ -298,19 +384,59 @@ func FilterRows(vals []int64, sel PosList, lo, hi int64) PosList {
 
 // AppendFilterRows is FilterRows appending into dst, which may alias
 // sel (the output never outruns the input), so refine stages can filter
-// a candidate list in place without allocating.
+// a candidate list in place without allocating. Like appendRange it
+// writes every candidate into dst's spare capacity and advances by the
+// predicate bit; a candidate is read before any write can reach its
+// slot, which is what makes dst = sel[:0] safe.
 //
 //holistic:noalloc
 func AppendFilterRows(dst PosList, vals []int64, sel PosList, lo, hi int64) PosList {
-	n := Pos(len(vals))
-	for _, p := range sel {
-		if p < n {
-			if v := vals[p]; v >= lo && v < hi {
-				dst = append(dst, p)
+	if hi <= lo || len(vals) == 0 {
+		return dst
+	}
+	ulo, span := rangeBits(lo, hi)
+	for i := 0; i < len(sel); {
+		if len(dst) == cap(dst) {
+			for i < len(sel) && probe(vals, sel[i], ulo, span) == 0 {
+				i++
 			}
+			if i == len(sel) {
+				break
+			}
+			dst = append(dst, sel[i])
+			i++
+			continue
 		}
+		blk := sel[i:min(len(sel), i+cap(dst)-len(dst))]
+		dst = dst[:len(dst)+writeFilter(dst[len(dst):cap(dst)], vals, blk, ulo, span)]
+		i += len(blk)
 	}
 	return dst
+}
+
+// probe is inRange at position p of a non-empty vals, 0 when p is at or
+// beyond len(vals): such a position reads vals[0] and is masked out.
+//
+//holistic:noalloc
+func probe(vals []int64, p Pos, ulo, span uint64) uint64 {
+	_, in := bits.Sub64(uint64(p), uint64(len(vals)), 0) // 1 iff p < len(vals)
+	return in & inRange(vals[p&-Pos(in)], ulo, span)
+}
+
+// writeFilter writes every position of blk into out, advancing by the
+// probe bit, and returns how many qualified; out must be at least as
+// long as blk and may start at blk's first slot. Like writeRange it is
+// kept out of line so its loop runs in registers.
+//
+//holistic:noalloc
+//go:noinline
+func writeFilter(out PosList, vals []int64, blk PosList, ulo, span uint64) int {
+	var k uint64
+	for _, p := range blk {
+		out[k] = p
+		k += probe(vals, p, ulo, span)
+	}
+	return int(k)
 }
 
 // FilterRowsInPlace filters sel in place and returns the shortened
@@ -552,8 +678,12 @@ func (w View) At(p Pos) (int64, bool) {
 //
 //holistic:noalloc
 func (w View) appendFilterRows(dst, sel PosList, lo, hi int64) PosList {
+	if hi <= lo {
+		return dst
+	}
+	ulo, span := rangeBits(lo, hi)
 	for _, p := range sel {
-		if v, ok := w.At(p); ok && v >= lo && v < hi {
+		if v, ok := w.At(p); ok && inRange(v, ulo, span) == 1 {
 			dst = append(dst, p)
 		}
 	}

@@ -1,6 +1,7 @@
 package column
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -199,30 +200,95 @@ func TestDictConcurrentEncode(t *testing.T) {
 	}
 }
 
-func BenchmarkScanRange1M(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]int64, 1<<20)
-	for i := range vals {
-		vals[i] = rng.Int63n(1 << 30)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CountRange(vals, 1<<28, 1<<29)
-	}
-	b.SetBytes(int64(len(vals) * 8))
-}
+// Package-level sinks keep the benchmarked kernels' results live, so the
+// compiler cannot drop the calls.
+var (
+	sinkInt   int
+	sinkInt64 int64
+	sinkPos   PosList
+)
 
-func BenchmarkParallelScanRange1M(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]int64, 1<<20)
-	for i := range vals {
-		vals[i] = rng.Int63n(1 << 30)
+// BenchmarkRangeKernels sweeps every range kernel over a 2^20-value
+// column (8 MiB) at 0.1–90% selectivity. Bounds are drawn per iteration
+// from a seeded RNG, so the compiler sees no constant predicate and the
+// branch predictor sees a fresh one every call. The filter kernels
+// (AppendFilterRows, FilterBitmap) refine a fixed 40%-dense driving
+// selection on a second column, the dense 2-conjunct path; SumBitmap
+// folds one of eight bitmaps of the swept selectivity, picked by the
+// drawn bound. b.SetBytes counts 8 bytes per value the kernel covers:
+// the column for scans and bitmap kernels, the candidate list for
+// AppendFilterRows.
+func BenchmarkRangeKernels(b *testing.B) {
+	const (
+		n      = 1 << 20
+		domain = 1 << 30
+	)
+	vals := randVals(n, domain, 1)
+	other := randVals(n, domain, 2)
+	cand := ScanRange(other, 0, domain/5*2)
+	drv := NewBitmap(0)
+	ScanRangeBitmap(other, 0, domain/5*2, drv)
+
+	type kernel struct {
+		name  string
+		bytes int
+		run   func(lo, hi int64)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelCountRange(vals, 1<<28, 1<<29, 4)
+	var buf PosList
+	bm := NewBitmap(n)
+	var sumMaps []*Bitmap // SumBitmap inputs at the current selectivity
+	kernels := []kernel{
+		{"CountRange", n, func(lo, hi int64) { sinkInt += CountRange(vals, lo, hi) }},
+		{"SumRange", n, func(lo, hi int64) { sinkInt64 += SumRange(vals, lo, hi) }},
+		{"MinMaxRange", n, func(lo, hi int64) {
+			mn, mx, c := MinMaxRange(vals, lo, hi)
+			sinkInt64 += mn ^ mx
+			sinkInt += c
+		}},
+		{"ScanRange", n, func(lo, hi int64) { sinkPos = ScanRange(vals, lo, hi) }},
+		{"AppendFilterRows", len(cand), func(lo, hi int64) {
+			buf = AppendFilterRows(buf[:0], vals, cand, lo, hi)
+			sinkInt += len(buf)
+		}},
+		{"ScanRangeBitmap", n, func(lo, hi int64) {
+			ScanRangeBitmap(vals, lo, hi, bm)
+			sinkInt += int(bm.words[len(bm.words)/2])
+		}},
+		{"FilterBitmap", n, func(lo, hi int64) {
+			bm.Reset(n)
+			copy(bm.words, drv.words)
+			FilterBitmap(vals, bm, lo, hi)
+			sinkInt += int(bm.words[len(bm.words)/2])
+		}},
+		{"SumBitmap", n, func(lo, _ int64) {
+			sinkInt64 += SumBitmap(vals, sumMaps[lo%int64(len(sumMaps))])
+		}},
 	}
-	b.SetBytes(int64(len(vals) * 8))
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			for _, sel := range []float64{0.001, 0.01, 0.10, 0.25, 0.50, 0.90} {
+				width := int64(sel * domain)
+				b.Run(fmt.Sprintf("sel=%g%%", sel*100), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(7))
+					if k.name == "SumBitmap" {
+						sumMaps = sumMaps[:0]
+						for i := 0; i < 8; i++ {
+							lo := rng.Int63n(domain - width)
+							m := NewBitmap(0)
+							ScanRangeBitmap(vals, lo, lo+width, m)
+							sumMaps = append(sumMaps, m)
+						}
+					}
+					b.SetBytes(int64(k.bytes) * 8)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						lo := rng.Int63n(domain - width)
+						k.run(lo, lo+width)
+					}
+				})
+			}
+		})
+	}
 }
 
 func TestFilterRows(t *testing.T) {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -113,6 +114,20 @@ func TestWALTornTailTruncates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs[:2]) {
 		t.Fatalf("replay = %+v, want first two records", got)
+	}
+}
+
+// TestWALOversizedLengthIsTorn: a frame length field within 8 of the
+// uint32 maximum must read as a torn tail, not wrap the bounds check
+// and panic.
+func TestWALOversizedLengthIsTorn(t *testing.T) {
+	for n := uint64(0xFFFFFFF8); n <= 0xFFFFFFFF; n++ {
+		data := make([]byte, 16)
+		binary.LittleEndian.PutUint32(data, uint32(n))
+		recs, torn := ReadLog(data)
+		if !torn || len(recs) != 0 {
+			t.Errorf("length %#x: ReadLog = %d records, torn %v; want 0, true", n, len(recs), torn)
+		}
 	}
 }
 

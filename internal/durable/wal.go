@@ -242,12 +242,14 @@ func ReadLog(data []byte) (recs []Record, torn bool) {
 		if len(data) < 8 {
 			return recs, true
 		}
-		n := binary.LittleEndian.Uint32(data)
+		// The frame end is computed in uint64: 8+n in uint32 wraps for a
+		// corrupt length >= 0xFFFFFFF8 and would pass the bound.
+		end := 8 + uint64(binary.LittleEndian.Uint32(data))
 		sum := binary.LittleEndian.Uint32(data[4:])
-		if uint64(8+n) > uint64(len(data)) {
+		if end > uint64(len(data)) {
 			return recs, true
 		}
-		payload := data[8 : 8+n]
+		payload := data[8:end]
 		if crc32.Checksum(payload, castagnoli) != sum {
 			return recs, true
 		}
@@ -256,7 +258,7 @@ func ReadLog(data []byte) (recs []Record, torn bool) {
 			return recs, true
 		}
 		recs = append(recs, rec)
-		data = data[8+n:]
+		data = data[end:]
 	}
 	return recs, false
 }
