@@ -492,9 +492,7 @@ func (d *durability) export() ([]durable.ColumnData, []durable.IndexState, *dura
 	case *engine.AdaptiveExecutor:
 		cols, states := e.ExportDurable()
 		return cols, states, nil
-	case *engine.OfflineExecutor:
-		return engine.ExportTableData(d.s.table), e.ExportSorted(), nil
-	case *engine.OnlineExecutor:
+	case *engine.SortedExecutor:
 		return engine.ExportTableData(d.s.table), e.ExportSorted(), nil
 	default:
 		// Scan and CCGI (and a store queried before any executor build)
@@ -538,11 +536,7 @@ func (d *durability) installState(rec *durable.Recovered) {
 		}
 	case *engine.AdaptiveExecutor:
 		d.installCrackers(e, rec.Columns, crackers)
-	case *engine.OfflineExecutor:
-		for _, st := range sorted {
-			d.installSorted(st, e.SeedSorted)
-		}
-	case *engine.OnlineExecutor:
+	case *engine.SortedExecutor:
 		for _, st := range sorted {
 			d.installSorted(st, e.SeedSorted)
 		}
@@ -560,7 +554,7 @@ func (d *durability) installCrackers(ad *engine.AdaptiveExecutor, cols []durable
 				Rows:   st.Rows,
 				Keys:   st.Keys,
 				Starts: st.Starts,
-			}, d.crackCfg(st.HasRows))
+			}, d.cfg.crackingConfig(st.HasRows))
 			if err == nil {
 				entry := ad.InstallRestoredCracker(cd.Name, c)
 				if entry != nil && st.StatsState > 0 {
@@ -590,29 +584,6 @@ func (d *durability) installSorted(st durable.IndexState, seed func(*sortidx.Sor
 	}
 	seed(sc)
 	d.met.RestoredIndexes.Inc()
-}
-
-// crackCfg mirrors the cracking configuration Store.build would hand a
-// first-query cracker, so a restored column behaves identically.
-func (d *durability) crackCfg(hasRows bool) cracking.Config {
-	threads := d.cfg.threads()
-	if d.cfg.Mode == ModeHolistic {
-		user := d.cfg.UserThreads
-		if user < 1 {
-			user = threads / 2
-		}
-		if user < 1 {
-			user = 1
-		}
-		threads = user
-	}
-	return cracking.Config{
-		Kernel:          cracking.KernelVectorized,
-		ParallelWorkers: threads,
-		WithRows:        hasRows,
-		Stochastic:      d.cfg.Mode == ModeStochastic,
-		Seed:            d.cfg.Seed,
-	}
 }
 
 // maybeSnapshot is the background snapshot policy: checkpoint when

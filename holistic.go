@@ -275,6 +275,37 @@ func (c Config) flightDumpKeep() int {
 	return c.FlightDumpKeep
 }
 
+// onlineEpoch resolves ModeOnline's monitoring epoch (default 100
+// queries; an epoch of 0 would be offline indexing).
+func (c Config) onlineEpoch() int {
+	if c.OnlineEpoch < 1 {
+		return 100
+	}
+	return c.OnlineEpoch
+}
+
+// crackingConfig is the configuration of a first-touch cracker column,
+// shared by Store.build and recovery so a restored cracker behaves
+// exactly like one a first query would build. Its parallelism is what
+// one user query occupies: Threads, except under ModeHolistic, where it
+// is UserThreads (default Threads/2, at least 1) and the remaining
+// contexts feed the daemon.
+func (c Config) crackingConfig(withRows bool) cracking.Config {
+	workers := c.threads()
+	if c.Mode == ModeHolistic {
+		if workers = c.UserThreads; workers < 1 {
+			workers = max(c.threads()/2, 1)
+		}
+	}
+	return cracking.Config{
+		Kernel:          cracking.KernelVectorized,
+		ParallelWorkers: workers,
+		WithRows:        withRows,
+		Stochastic:      c.Mode == ModeStochastic,
+		Seed:            c.Seed,
+	}
+}
+
 func (c Config) l1Values() int {
 	if c.L1CacheBytes <= 0 {
 		return stats.DefaultL1Values
@@ -407,33 +438,19 @@ func (s *Store) executor() (engine.Executor, error) {
 
 func (s *Store) build() engine.Executor {
 	threads := s.cfg.threads()
-	crackCfg := cracking.Config{
-		Kernel:          cracking.KernelVectorized,
-		ParallelWorkers: threads,
-		WithRows:        !s.cfg.NoRowIDs, // SelectRows materializes base positions
-		Seed:            s.cfg.Seed,
-	}
+	crackCfg := s.cfg.crackingConfig(!s.cfg.NoRowIDs) // SelectRows materializes base positions
 	switch s.cfg.Mode {
 	case ModeScan:
 		return engine.NewScanExecutor(s.table, threads)
 	case ModeOffline:
-		return engine.NewOfflineExecutor(s.table, threads)
+		return engine.NewSortedExecutor(s.table, threads, 0)
 	case ModeOnline:
-		return engine.NewOnlineExecutor(s.table, threads, s.cfg.OnlineEpoch)
+		return engine.NewSortedExecutor(s.table, threads, s.cfg.onlineEpoch())
 	case ModeStochastic:
-		crackCfg.Stochastic = true
 		return engine.NewAdaptiveExecutor(s.table, crackCfg, "stochastic")
 	case ModeCCGI:
 		return engine.NewCCGIExecutor(s.table, threads, 64, cracking.Config{WithRows: !s.cfg.NoRowIDs, Seed: s.cfg.Seed})
 	case ModeHolistic:
-		user := s.cfg.UserThreads
-		if user < 1 {
-			user = threads / 2
-		}
-		if user < 1 {
-			user = 1
-		}
-		crackCfg.ParallelWorkers = user
 		return engine.NewHolisticExecutor(s.table, engine.HolisticConfig{
 			Cracking: crackCfg,
 			Daemon: holistic.Config{
@@ -445,7 +462,7 @@ func (s *Store) build() engine.Executor {
 			},
 			L1Values:    s.cfg.l1Values(),
 			Contexts:    threads,
-			UserThreads: user,
+			UserThreads: crackCfg.ParallelWorkers,
 			StatsSeed:   s.cfg.Seed,
 		})
 	default:
@@ -462,8 +479,8 @@ func (s *Store) Prepare() {
 	if err != nil {
 		return
 	}
-	if off, ok := exec.(*engine.OfflineExecutor); ok {
-		off.PrepareAll()
+	if sorted, ok := exec.(*engine.SortedExecutor); ok && s.cfg.Mode == ModeOffline {
+		sorted.PrepareAll()
 	}
 }
 

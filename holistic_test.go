@@ -2,10 +2,12 @@ package holistic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"holistic/internal/column"
+	"holistic/internal/engine"
 	"holistic/internal/workload"
 )
 
@@ -184,5 +186,61 @@ func TestStatsNonCrackingModes(t *testing.T) {
 	st := s.Stats()
 	if st.Pieces != 0 || st.Refinements != 0 {
 		t.Errorf("scan stats = %+v, want zeros", st)
+	}
+}
+
+func implements[T any](x engine.Executor) bool {
+	_, ok := x.(T)
+	return ok
+}
+
+// TestExecutorCapabilities pins the optional interfaces each mode's
+// executor implements. The query planner branches on these sets, so a
+// refactor of the executors must not move them.
+func TestExecutorCapabilities(t *testing.T) {
+	probes := []struct {
+		name string
+		has  func(engine.Executor) bool
+	}{
+		{"Viewer", implements[engine.Viewer]},
+		{"CardEstimator", implements[engine.CardEstimator]},
+		{"BitmapSelector", implements[engine.BitmapSelector]},
+		{"KeyOrderWalker", implements[engine.KeyOrderWalker]},
+		{"PredicateSink", implements[engine.PredicateSink]},
+		{"PredicateSpanSink", implements[engine.PredicateSpanSink]},
+		{"Inserter", implements[engine.Inserter]},
+		{"Deleter", implements[engine.Deleter]},
+		{"Updater", implements[engine.Updater]},
+		{"Instrumented", implements[engine.Instrumented]},
+	}
+	const (
+		sorted   = "CardEstimator BitmapSelector KeyOrderWalker"
+		cracking = "Viewer CardEstimator BitmapSelector KeyOrderWalker Inserter Deleter Updater Instrumented"
+	)
+	want := map[Mode]string{
+		ModeScan:       "BitmapSelector Instrumented",
+		ModeOffline:    sorted,
+		ModeOnline:     sorted,
+		ModeAdaptive:   cracking,
+		ModeStochastic: cracking,
+		ModeCCGI:       "BitmapSelector",
+		ModeHolistic:   "Viewer CardEstimator BitmapSelector KeyOrderWalker PredicateSink PredicateSpanSink Inserter Deleter Updater Instrumented",
+	}
+	for mode := ModeScan; mode <= ModeHolistic; mode++ {
+		s, _ := buildStore(t, mode, 1, 64, 1<<10)
+		exec, err := s.executor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range probes {
+			if p.has(exec) {
+				got = append(got, p.name)
+			}
+		}
+		if g := strings.Join(got, " "); g != want[mode] {
+			t.Errorf("%v: capabilities %q, want %q", mode, g, want[mode])
+		}
+		s.Close()
 	}
 }

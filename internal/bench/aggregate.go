@@ -109,10 +109,10 @@ func runAgg(p Params) (*Result, error) {
 		prep  func(engine.Executor) time.Duration
 	}{
 		{"no indexing", func() engine.Executor { return engine.NewScanExecutor(li, p.Threads) }, nil},
-		{"offline indexing", func() engine.Executor { return engine.NewOfflineExecutor(li, p.Threads) },
+		{"offline indexing", func() engine.Executor { return engine.NewSortedExecutor(li, p.Threads, 0) },
 			func(e engine.Executor) time.Duration {
 				start := time.Now()
-				e.(*engine.OfflineExecutor).PrepareAll()
+				e.(*engine.SortedExecutor).PrepareAll()
 				return time.Since(start)
 			}},
 		{"adaptive indexing", func() engine.Executor { return engine.NewAdaptiveExecutor(li, crackCfg, "") }, nil},

@@ -95,7 +95,7 @@ func runFig6a(p Params) (*Result, error) {
 			return timeQueries(e, qs)
 		}},
 		{"offline indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := engine.NewOfflineExecutor(t, p.Threads)
+			e := engine.NewSortedExecutor(t, p.Threads, 0)
 			defer e.Close()
 			start := time.Now()
 			e.PrepareAll()
@@ -110,7 +110,7 @@ func runFig6a(p Params) (*Result, error) {
 			return times, nil
 		}},
 		{"online indexing", func(t *engine.Table) ([]time.Duration, error) {
-			e := engine.NewOnlineExecutor(t, p.Threads, p.Queries/10)
+			e := engine.NewSortedExecutor(t, p.Threads, max(p.Queries/10, 1))
 			defer e.Close()
 			return timeQueries(e, qs)
 		}},

@@ -4,15 +4,20 @@
 // indexing mode, late tuple reconstruction, and the executor glue that
 // the benchmark harness drives.
 //
-// One Executor exists per indexing approach compared in Section 5:
+// Five executors cover the seven indexing approaches compared in
+// Section 5:
 //
-//	ModeScan       — plain parallel scans, no indexing
-//	ModeOffline    — pre-sorted columns, binary-search selects
-//	ModeOnline     — scan for an epoch, then sort, then binary search
-//	ModeAdaptive   — database cracking (parallel vectorized, PVDC)
-//	ModeStochastic — stochastic cracking (PVSDC)
-//	ModeCCGI       — the mP-CCGI multi-core baseline
-//	ModeHolistic   — cracking plus the holistic indexing daemon
+//	ScanExecutor     — plain parallel scans, no indexing (ModeScan)
+//	SortedExecutor   — sorted columns, binary-search selects: offline
+//	                   sorts up front or on first touch (ModeOffline);
+//	                   online is offline with a monitoring epoch of scans
+//	                   before the sort (ModeOnline)
+//	AdaptiveExecutor — database cracking, parallel vectorized (PVDC,
+//	                   ModeAdaptive) or stochastic (PVSDC, ModeStochastic)
+//	CCGIExecutor     — the mP-CCGI multi-core baseline (ModeCCGI)
+//	HolisticExecutor — cracking plus the holistic indexing daemon, each
+//	                   select charged to the daemon's load accountant
+//	                   (ModeHolistic)
 package engine
 
 import (

@@ -9,6 +9,7 @@ import (
 	"holistic/internal/column"
 	"holistic/internal/cracking"
 	"holistic/internal/holistic"
+	"holistic/internal/sortidx"
 	"holistic/internal/workload"
 )
 
@@ -56,8 +57,8 @@ func allExecutors(t *testing.T, tbl *Table) []Executor {
 	t.Helper()
 	return []Executor{
 		NewScanExecutor(tbl, 2),
-		NewOfflineExecutor(tbl, 2),
-		NewOnlineExecutor(tbl, 2, 20),
+		NewSortedExecutor(tbl, 2, 0),
+		NewSortedExecutor(tbl, 2, 20),
 		NewAdaptiveExecutor(tbl, cracking.Config{WithRows: true}, ""),
 		NewAdaptiveExecutor(tbl, cracking.Config{Stochastic: true, WithRows: true, Seed: 5}, "stochastic"),
 		NewCCGIExecutor(tbl, 2, 8, cracking.Config{WithRows: true}),
@@ -191,7 +192,7 @@ func TestUnknownAttributeErrors(t *testing.T) {
 
 func TestOnlineExecutorSortsAfterEpoch(t *testing.T) {
 	tbl, base := testTable(t, 1, 10_000, 1<<16)
-	e := NewOnlineExecutor(tbl, 2, 5)
+	e := NewSortedExecutor(tbl, 2, 5)
 	defer e.Close()
 	for q := 0; q < 5; q++ {
 		if n, _ := e.Count("A", 0, 1000); n != column.CountRange(base[0], 0, 1000) {
@@ -209,9 +210,35 @@ func TestOnlineExecutorSortsAfterEpoch(t *testing.T) {
 	}
 }
 
+// TestOnlineEpochBuildsMissingRuns is the restore case: a recovered
+// online store whose snapshot kept only some sorted runs (a run that fails
+// validation is dropped) must still sort the other columns when its
+// restarted epoch ends, instead of scanning them forever.
+func TestOnlineEpochBuildsMissingRuns(t *testing.T) {
+	const epoch = 3
+	tbl, base := testTable(t, 2, 5_000, 1<<16)
+	e := NewSortedExecutor(tbl, 2, epoch)
+	defer e.Close()
+	e.SeedSorted(sortidx.Build("A", base[0], 1))
+	if _, ok := e.KeyOrderSpan("B"); ok {
+		t.Fatal("B has a key-order path before the epoch ended")
+	}
+	for q := 0; q <= epoch; q++ {
+		if n, _ := e.Count("B", 0, 1000); n != column.CountRange(base[1], 0, 1000) {
+			t.Fatalf("query %d: count wrong", q)
+		}
+	}
+	if e.sorted["B"] == nil {
+		t.Fatal("B not sorted after the epoch")
+	}
+	if span, ok := e.KeyOrderSpan("B"); !ok || span != 1 {
+		t.Fatalf("KeyOrderSpan(B) = (%v, %v) after the epoch, want (1, true)", span, ok)
+	}
+}
+
 func TestOfflinePrepareAll(t *testing.T) {
 	tbl, _ := testTable(t, 3, 5_000, 1<<16)
-	e := NewOfflineExecutor(tbl, 2)
+	e := NewSortedExecutor(tbl, 2, 0)
 	e.PrepareAll()
 	if len(e.sorted) != 3 {
 		t.Fatalf("PrepareAll sorted %d columns, want 3", len(e.sorted))
@@ -555,7 +582,7 @@ func TestWalkKeyOrder(t *testing.T) {
 		want[uint32(i)] = v
 	}
 
-	off := NewOfflineExecutor(tbl, 2)
+	off := NewSortedExecutor(tbl, 2, 0)
 	if span, ok := off.KeyOrderSpan(attr); !ok || span != 1 {
 		t.Fatalf("offline KeyOrderSpan = (%v, %v)", span, ok)
 	}
@@ -670,7 +697,7 @@ func TestOnlineExecutorConcurrentEpochCrossing(t *testing.T) {
 	// Many clients cross the epoch simultaneously; the sort must happen
 	// exactly once and answers stay correct throughout.
 	tbl, bases := testTable(t, 2, 10_000, 1<<16)
-	e := NewOnlineExecutor(tbl, 2, 10)
+	e := NewSortedExecutor(tbl, 2, 10)
 	defer e.Close()
 	qs := workload.Generate(workload.Config{
 		Pattern: workload.Random, Queries: 100, Domain: 1 << 16, Attrs: 2, Seed: 18,
@@ -766,7 +793,7 @@ func TestEstimateCount(t *testing.T) {
 	tab := NewTable("t")
 	tab.MustAddColumn(column.New("a", vals))
 
-	off := NewOfflineExecutor(tab, 1)
+	off := NewSortedExecutor(tab, 1, 0)
 	if _, _, ok := off.EstimateCount("a", 100, 200); ok {
 		t.Error("offline estimated before sorting")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"holistic/internal/ccgi"
 	"holistic/internal/column"
@@ -112,69 +113,110 @@ func (e *ScanExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap
 // Close implements Executor.
 func (e *ScanExecutor) Close() {}
 
-// OfflineExecutor answers queries by binary search over pre-sorted
-// columns. PrepareAll pays the sorting cost; the harness charges it to
-// the first query as the paper does ("since there is no idle time before
-// the first query, the sorting cost is added to the execution time of the
-// very first query").
-type OfflineExecutor struct {
+// SortedExecutor answers queries by binary search over sorted copies of
+// the columns: the full-indexing baselines of Section 5.1, which differ
+// only in when the sort is built. With Epoch 0 it is offline indexing:
+// the first query on each attribute sorts it, or PrepareAll sorts every
+// column up front (the harness charges that cost to the first query, as
+// the paper does). With Epoch > 0 it is COLT-style online indexing: the
+// first Epoch queries are answered by scans while the workload is
+// monitored, and the first query after the epoch runs the same build-all
+// step as PrepareAll, so the sorting cost lands inside that query.
+type SortedExecutor struct {
 	table   *Table
 	Threads int
+	Epoch   int
 
-	mu     sync.Mutex
-	sorted map[string]*sortidx.SortedColumn
+	mu sync.Mutex
+	// monitor counts down the queries left in the monitoring epoch plus
+	// the epoch-crossing query; 0 means sorts are built on demand.
+	monitor int
+	sorted  map[string]*sortidx.SortedColumn
 }
 
-// NewOfflineExecutor builds the executor; call PrepareAll (or let the
-// first query on each attribute pay the sort lazily).
-func NewOfflineExecutor(t *Table, threads int) *OfflineExecutor {
+// NewSortedExecutor builds the executor with the monitoring epoch in
+// queries: 0 (or less) for offline indexing, the paper's 100 for online.
+func NewSortedExecutor(t *Table, threads, epoch int) *SortedExecutor {
 	if threads < 1 {
 		threads = 1
 	}
-	return &OfflineExecutor{table: t, Threads: threads, sorted: make(map[string]*sortidx.SortedColumn)}
+	e := &SortedExecutor{table: t, Threads: threads, Epoch: epoch, sorted: make(map[string]*sortidx.SortedColumn)}
+	if epoch > 0 {
+		e.monitor = epoch + 1
+	}
+	return e
 }
 
 // Label implements Executor.
-func (e *OfflineExecutor) Label() string { return "offline indexing" }
+func (e *SortedExecutor) Label() string {
+	if e.Epoch > 0 {
+		return "online indexing"
+	}
+	return "offline indexing"
+}
 
-// PrepareAll sorts every column of the table (the offline physical-design
-// step, assuming a-priori workload knowledge).
-func (e *OfflineExecutor) PrepareAll() {
+// PrepareAll sorts every column of the table that has no sorted run yet
+// (the offline physical-design step, assuming a-priori workload
+// knowledge; online indexing runs it when its epoch ends).
+func (e *SortedExecutor) PrepareAll() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.buildAllLocked()
+}
+
+func (e *SortedExecutor) buildAllLocked() {
 	for _, name := range e.table.ColumnNames() {
-		e.sortedFor(name, false)
+		if e.sorted[name] == nil {
+			e.sorted[name] = sortidx.Build(name, e.table.Column(name).Values(), e.Threads)
+		}
 	}
 }
 
-// sortedFor returns attr's sorted column, building it on first use. The
-// count/aggregate forms sort plain values; the first SelectRows on an
-// attribute upgrades it to a rowid-carrying sort (value/rowid pairs cost
-// more to sort and +4 bytes/value to keep, so count-only workloads never
-// pay for them).
-func (e *OfflineExecutor) sortedFor(attr string, needRows bool) *sortidx.SortedColumn {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.sorted[attr]; ok && (!needRows || s.HasRows()) {
-		return s
-	}
+// index counts one query against the monitoring epoch and returns attr's
+// sorted column plus the base values for the scan fallback. The column
+// is nil only while the epoch runs and no restored run exists for attr.
+// Every query form — count, aggregate, materialization — counts against
+// the epoch. Sorts are plain value sorts; the first rowid-needing query
+// on an attribute upgrades it to a rowid-carrying sort (value/rowid
+// pairs cost more to sort and +4 bytes/value to keep, so count-only
+// workloads never pay for them).
+func (e *SortedExecutor) index(attr string, needRows bool) (*sortidx.SortedColumn, []int64, error) {
 	c := e.table.Column(attr)
 	if c == nil {
-		return nil
+		return nil, nil, fmt.Errorf("engine: unknown attribute %q", attr)
 	}
-	var s *sortidx.SortedColumn
-	if needRows {
-		s = sortidx.BuildWithRows(attr, c.Values(), e.Threads)
-	} else {
-		s = sortidx.Build(attr, c.Values(), e.Threads)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s := e.sorted[attr]
+	if e.monitor > 0 {
+		e.monitor--
+		if e.monitor > 0 && s == nil {
+			return nil, c.Values(), nil
+		}
+		if e.monitor == 0 {
+			// Enough workload knowledge obtained: sort every column still
+			// missing a run. The cost is paid inside this query.
+			e.buildAllLocked()
+			s = e.sorted[attr]
+		}
 	}
-	e.sorted[attr] = s
-	return s
+	if s == nil || needRows && !s.HasRows() {
+		if needRows {
+			s = sortidx.BuildWithRows(attr, c.Values(), e.Threads)
+		} else {
+			s = sortidx.Build(attr, c.Values(), e.Threads)
+		}
+		e.sorted[attr] = s
+	}
+	return s, c.Values(), nil
 }
 
 // EstimateCount implements CardEstimator: once a column is sorted the
 // count is two binary searches, an exact and near-free estimate. Before
 // the sort there is no index to consult (building one here would move
-// the preparation cost into planning), so ok is false.
-func (e *OfflineExecutor) EstimateCount(attr string, lo, hi int64) (float64, bool, bool) {
+// the preparation cost into planning, and the probe does not advance the
+// epoch), so ok is false.
+func (e *SortedExecutor) EstimateCount(attr string, lo, hi int64) (float64, bool, bool) {
 	e.mu.Lock()
 	s := e.sorted[attr]
 	e.mu.Unlock()
@@ -185,29 +227,39 @@ func (e *OfflineExecutor) EstimateCount(attr string, lo, hi int64) (float64, boo
 }
 
 // Count implements Executor.
-func (e *OfflineExecutor) Count(attr string, lo, hi int64) (int, error) {
-	s := e.sortedFor(attr, false)
+func (e *SortedExecutor) Count(attr string, lo, hi int64) (int, error) {
+	s, vals, err := e.index(attr, false)
+	if err != nil {
+		return 0, err
+	}
 	if s == nil {
-		return 0, fmt.Errorf("engine: unknown attribute %q", attr)
+		return column.ParallelCountRange(vals, lo, hi, e.Threads), nil
 	}
 	return s.CountRange(lo, hi), nil
 }
 
 // Sum implements Executor: binary search brackets the slice, then a tight
 // fold over the contiguous run.
-func (e *OfflineExecutor) Sum(attr string, lo, hi int64) (int64, error) {
-	s := e.sortedFor(attr, false)
+func (e *SortedExecutor) Sum(attr string, lo, hi int64) (int64, error) {
+	s, vals, err := e.index(attr, false)
+	if err != nil {
+		return 0, err
+	}
 	if s == nil {
-		return 0, fmt.Errorf("engine: unknown attribute %q", attr)
+		return column.ParallelSumRange(vals, lo, hi, e.Threads), nil
 	}
 	return s.SumRange(lo, hi), nil
 }
 
 // MinMax implements Executor: two edge reads on the sorted run.
-func (e *OfflineExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bool, err error) {
-	s := e.sortedFor(attr, false)
+func (e *SortedExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bool, err error) {
+	s, vals, err := e.index(attr, false)
+	if err != nil {
+		return 0, 0, false, err
+	}
 	if s == nil {
-		return 0, 0, false, fmt.Errorf("engine: unknown attribute %q", attr)
+		mn, mx, n := column.ParallelMinMaxRange(vals, lo, hi, e.Threads)
+		return mn, mx, n > 0, nil
 	}
 	mn, mx, ok = s.MinMaxRange(lo, hi)
 	return mn, mx, ok, nil
@@ -215,10 +267,13 @@ func (e *OfflineExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bo
 
 // SelectRows implements Executor: the rowids of the sorted run, copied so
 // callers own the result.
-func (e *OfflineExecutor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
-	s := e.sortedFor(attr, true)
+func (e *SortedExecutor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
+	s, vals, err := e.index(attr, true)
+	if err != nil {
+		return nil, err
+	}
 	if s == nil {
-		return nil, fmt.Errorf("engine: unknown attribute %q", attr)
+		return column.ParallelScanRange(vals, lo, hi, e.Threads), nil
 	}
 	start, end := s.SelectRange(lo, hi)
 	return append([]uint32(nil), s.Rows(start, end)...), nil
@@ -227,10 +282,14 @@ func (e *OfflineExecutor) SelectRows(attr string, lo, hi int64) ([]uint32, error
 // SelectBitmap implements BitmapSelector: the sorted run's rowids set
 // bit by bit straight off the index — unlike SelectRows, nothing is
 // copied.
-func (e *OfflineExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap) error {
-	s := e.sortedFor(attr, true)
+func (e *SortedExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap) error {
+	s, vals, err := e.index(attr, true)
+	if err != nil {
+		return err
+	}
 	if s == nil {
-		return fmt.Errorf("engine: unknown attribute %q", attr)
+		column.ParallelScanRangeBitmap(vals, lo, hi, bm, e.Threads)
+		return nil
 	}
 	start, end := s.SelectRange(lo, hi)
 	bm.Reset(s.Len())
@@ -238,9 +297,32 @@ func (e *OfflineExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bit
 	return nil
 }
 
-// walkSortedRuns streams a rowid-carrying sorted column one maximal run
-// of equal values at a time — each run is one key cluster (span 1).
-func walkSortedRuns(s *sortidx.SortedColumn, fn func(vals []int64, rows []uint32)) {
+// KeyOrderSpan implements KeyOrderWalker: a sorted column clusters each
+// distinct value exactly (span 1). The path exists for every attribute
+// once sorts are built on demand, and before that only where a run
+// already exists (the probe does not advance the epoch).
+func (e *SortedExecutor) KeyOrderSpan(attr string) (float64, bool) {
+	if e.table.Column(attr) == nil {
+		return 0, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.monitor > 0 && e.sorted[attr] == nil {
+		return 0, false
+	}
+	return 1, true
+}
+
+// WalkKeyOrder implements KeyOrderWalker: the rowid-carrying sorted run,
+// streamed one equal-value cluster at a time. It counts against the
+// monitoring epoch like every other query form, and declines while the
+// epoch is still running (the caller falls back to hash grouping over
+// the base data).
+func (e *SortedExecutor) WalkKeyOrder(attr string, fn func(vals []int64, rows []uint32)) (bool, error) {
+	s, _, err := e.index(attr, true)
+	if err != nil || s == nil {
+		return false, err
+	}
 	vals := s.Values()
 	for i := 0; i < len(vals); {
 		j := i + 1
@@ -250,202 +332,11 @@ func walkSortedRuns(s *sortidx.SortedColumn, fn func(vals []int64, rows []uint32
 		fn(vals[i:j], s.Rows(i, j))
 		i = j
 	}
-}
-
-// KeyOrderSpan implements KeyOrderWalker: a sorted column clusters each
-// distinct value exactly (span 1), and offline indexing sorts on demand,
-// so the path exists for every attribute.
-func (e *OfflineExecutor) KeyOrderSpan(attr string) (float64, bool) {
-	if e.table.Column(attr) == nil {
-		return 0, false
-	}
-	return 1, true
-}
-
-// WalkKeyOrder implements KeyOrderWalker: the rowid-carrying sorted run,
-// streamed one equal-value cluster at a time.
-func (e *OfflineExecutor) WalkKeyOrder(attr string, fn func(vals []int64, rows []uint32)) (bool, error) {
-	s := e.sortedFor(attr, true)
-	if s == nil {
-		return false, fmt.Errorf("engine: unknown attribute %q", attr)
-	}
-	walkSortedRuns(s, fn)
 	return true, nil
 }
 
 // Close implements Executor.
-func (e *OfflineExecutor) Close() {}
-
-// OnlineExecutor monitors the workload for an epoch of queries (answered
-// by plain scans), then sorts every column — the COLT-style online
-// indexing baseline of Section 5.1. The sorting cost lands inside the
-// first post-epoch query, as in the paper.
-type OnlineExecutor struct {
-	table   *Table
-	Threads int
-	Epoch   int
-
-	mu      sync.Mutex
-	queries int
-	sorted  map[string]*sortidx.SortedColumn
-}
-
-// NewOnlineExecutor builds the executor with the monitoring epoch in
-// queries (the paper uses 100).
-func NewOnlineExecutor(t *Table, threads, epoch int) *OnlineExecutor {
-	if threads < 1 {
-		threads = 1
-	}
-	if epoch < 1 {
-		epoch = 100
-	}
-	return &OnlineExecutor{table: t, Threads: threads, Epoch: epoch, sorted: make(map[string]*sortidx.SortedColumn)}
-}
-
-// Label implements Executor.
-func (e *OnlineExecutor) Label() string { return "online indexing" }
-
-// index advances the monitoring epoch by one query and returns the
-// sorted column for attr (nil while still inside the epoch) plus the base
-// values for the scan fallback. Every query form — count, aggregate,
-// materialization — counts against the epoch. The epoch sort is a plain
-// value sort; the first SelectRows on an attribute upgrades it to a
-// rowid-carrying sort (see OfflineExecutor.sortedFor).
-func (e *OnlineExecutor) index(attr string, needRows bool) (*sortidx.SortedColumn, []int64, error) {
-	c := e.table.Column(attr)
-	if c == nil {
-		return nil, nil, fmt.Errorf("engine: unknown attribute %q", attr)
-	}
-	e.mu.Lock()
-	e.queries++
-	buildNow := e.queries == e.Epoch+1
-	if buildNow && len(e.sorted) == 0 {
-		// Enough workload knowledge obtained: sort all columns. The cost
-		// is paid inside this query.
-		for _, name := range e.table.ColumnNames() {
-			e.sorted[name] = sortidx.Build(name, e.table.Column(name).Values(), e.Threads)
-		}
-	}
-	s := e.sorted[attr]
-	if s != nil && needRows && !s.HasRows() {
-		s = sortidx.BuildWithRows(attr, c.Values(), e.Threads)
-		e.sorted[attr] = s
-	}
-	e.mu.Unlock()
-	return s, c.Values(), nil
-}
-
-// EstimateCount implements CardEstimator: exact once the epoch sort has
-// happened, unavailable before (the probe does not advance the epoch).
-func (e *OnlineExecutor) EstimateCount(attr string, lo, hi int64) (float64, bool, bool) {
-	e.mu.Lock()
-	s := e.sorted[attr]
-	e.mu.Unlock()
-	if s == nil {
-		return 0, false, false
-	}
-	return float64(s.CountRange(lo, hi)), true, true
-}
-
-// Count implements Executor.
-func (e *OnlineExecutor) Count(attr string, lo, hi int64) (int, error) {
-	s, vals, err := e.index(attr, false)
-	if err != nil {
-		return 0, err
-	}
-	if s != nil {
-		return s.CountRange(lo, hi), nil
-	}
-	return column.ParallelCountRange(vals, lo, hi, e.Threads), nil
-}
-
-// Sum implements Executor.
-func (e *OnlineExecutor) Sum(attr string, lo, hi int64) (int64, error) {
-	s, vals, err := e.index(attr, false)
-	if err != nil {
-		return 0, err
-	}
-	if s != nil {
-		return s.SumRange(lo, hi), nil
-	}
-	return column.ParallelSumRange(vals, lo, hi, e.Threads), nil
-}
-
-// MinMax implements Executor.
-func (e *OnlineExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bool, err error) {
-	s, vals, err := e.index(attr, false)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if s != nil {
-		mn, mx, ok = s.MinMaxRange(lo, hi)
-		return mn, mx, ok, nil
-	}
-	mn, mx, n := column.ParallelMinMaxRange(vals, lo, hi, e.Threads)
-	return mn, mx, n > 0, nil
-}
-
-// SelectRows implements Executor.
-func (e *OnlineExecutor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
-	s, vals, err := e.index(attr, true)
-	if err != nil {
-		return nil, err
-	}
-	if s != nil {
-		start, end := s.SelectRange(lo, hi)
-		return append([]uint32(nil), s.Rows(start, end)...), nil
-	}
-	return column.ParallelScanRange(vals, lo, hi, e.Threads), nil
-}
-
-// SelectBitmap implements BitmapSelector: sorted-run rowids after the
-// epoch, a parallel bitmap scan before.
-func (e *OnlineExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap) error {
-	s, vals, err := e.index(attr, true)
-	if err != nil {
-		return err
-	}
-	if s != nil {
-		start, end := s.SelectRange(lo, hi)
-		bm.Reset(s.Len())
-		bm.SetRows(s.Rows(start, end))
-		return nil
-	}
-	column.ParallelScanRangeBitmap(vals, lo, hi, bm, e.Threads)
-	return nil
-}
-
-// KeyOrderSpan implements KeyOrderWalker: exact clusters once the epoch
-// sort has happened, no path before (the probe does not advance the
-// epoch).
-func (e *OnlineExecutor) KeyOrderSpan(attr string) (float64, bool) {
-	e.mu.Lock()
-	s := e.sorted[attr]
-	e.mu.Unlock()
-	if s == nil {
-		return 0, false
-	}
-	return 1, true
-}
-
-// WalkKeyOrder implements KeyOrderWalker; it counts against the
-// monitoring epoch like every other query form, and declines while the
-// epoch is still running (the caller falls back to hash grouping over
-// the base data).
-func (e *OnlineExecutor) WalkKeyOrder(attr string, fn func(vals []int64, rows []uint32)) (bool, error) {
-	s, _, err := e.index(attr, true)
-	if err != nil {
-		return false, err
-	}
-	if s == nil {
-		return false, nil
-	}
-	walkSortedRuns(s, fn)
-	return true, nil
-}
-
-// Close implements Executor.
-func (e *OnlineExecutor) Close() {}
+func (e *SortedExecutor) Close() {}
 
 // AdaptiveExecutor is database cracking: the first query on an attribute
 // creates its cracker column, every query refines it. With the default
@@ -466,6 +357,11 @@ type AdaptiveExecutor struct {
 
 	// met records access-path telemetry when attached (Instrumented).
 	met *obs.ExecMetrics
+	// acct, when set (holistic mode), is charged userThreads busy
+	// contexts for the duration of every user select, so the daemon's
+	// idle signal sees the query.
+	acct        *cpu.LoadAccountant
+	userThreads int
 
 	mu       sync.Mutex
 	crackers map[string]*cracking.Column
@@ -746,6 +642,22 @@ func (e *AdaptiveExecutor) selectCracker(attr string, lo, hi int64) (*cracking.C
 	return c, nil
 }
 
+// begin is the entry of every user select: it charges the query's
+// contexts to holistic mode's load accountant, if any, and starts the
+// select-latency measurement. Every caller defers release.
+func (e *AdaptiveExecutor) begin() time.Time {
+	if e.acct != nil {
+		e.acct.Acquire(e.userThreads)
+	}
+	return obsBegin(e.met)
+}
+
+func (e *AdaptiveExecutor) release() {
+	if e.acct != nil {
+		e.acct.Release(e.userThreads)
+	}
+}
+
 func (e *AdaptiveExecutor) record(attr string, r cracking.Range) {
 	if e.Registry != nil {
 		e.Registry.RecordAccess(attr, r.ExactHit())
@@ -756,7 +668,8 @@ func (e *AdaptiveExecutor) record(attr string, r cracking.Range) {
 // pending updates covering the requested range, cracks, and records
 // statistics.
 func (e *AdaptiveExecutor) Count(attr string, lo, hi int64) (int, error) {
-	start := obsBegin(e.met)
+	start := e.begin()
+	defer e.release()
 	c, err := e.selectCracker(attr, lo, hi)
 	if err != nil {
 		return 0, err
@@ -770,7 +683,8 @@ func (e *AdaptiveExecutor) Count(attr string, lo, hi int64) (int, error) {
 // Sum implements Executor: crack, then fold the qualifying pieces under
 // their latches — the aggregate never leaves the cracker's segments.
 func (e *AdaptiveExecutor) Sum(attr string, lo, hi int64) (int64, error) {
-	start := obsBegin(e.met)
+	start := e.begin()
+	defer e.release()
 	c, err := e.selectCracker(attr, lo, hi)
 	if err != nil {
 		return 0, err
@@ -783,7 +697,8 @@ func (e *AdaptiveExecutor) Sum(attr string, lo, hi int64) (int64, error) {
 
 // MinMax implements Executor.
 func (e *AdaptiveExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bool, err error) {
-	start := obsBegin(e.met)
+	start := e.begin()
+	defer e.release()
 	c, err := e.selectCracker(attr, lo, hi)
 	if err != nil {
 		return 0, 0, false, err
@@ -798,7 +713,8 @@ func (e *AdaptiveExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok b
 // materialized piece by piece. The executor's cracking configuration must
 // carry rowids (Config.WithRows).
 func (e *AdaptiveExecutor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
-	start := obsBegin(e.met)
+	start := e.begin()
+	defer e.release()
 	c, err := e.selectCracker(attr, lo, hi)
 	if err != nil {
 		return nil, err
@@ -829,7 +745,8 @@ func (e *AdaptiveExecutor) universe(attr string) int {
 // read latches — the select refines the index exactly like SelectRows
 // but materializes nothing.
 func (e *AdaptiveExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap) error {
-	start := obsBegin(e.met)
+	start := e.begin()
+	defer e.release()
 	c, err := e.selectCracker(attr, lo, hi)
 	if err != nil {
 		return err
@@ -871,6 +788,8 @@ func (e *AdaptiveExecutor) KeyOrderSpan(attr string) (float64, bool) {
 // pays for its merges exactly like any range select does), then the
 // pieces stream in ascending key order under their read latches.
 func (e *AdaptiveExecutor) WalkKeyOrder(attr string, fn func(vals []int64, rows []uint32)) (bool, error) {
+	e.begin() // a walk records no select latency
+	defer e.release()
 	if e.table.Column(attr) == nil {
 		return false, fmt.Errorf("engine: unknown attribute %q", attr)
 	}
@@ -905,15 +824,12 @@ func (e *AdaptiveExecutor) TotalPieces() int {
 func (e *AdaptiveExecutor) Close() {}
 
 // HolisticExecutor wraps the adaptive executor with the holistic indexing
-// daemon: user queries run the cracking select operator while the daemon
-// exploits idle contexts for auxiliary refinements.
+// daemon: user queries run the cracking select operator, charged to the
+// daemon's load accountant, while the daemon exploits idle contexts for
+// auxiliary refinements.
 type HolisticExecutor struct {
 	*AdaptiveExecutor
 	Daemon *holistic.Daemon
-	Acct   *cpu.LoadAccountant
-	// UserThreads is the number of contexts one user query occupies
-	// while running (the u of the paper's uXwYxZ distributions).
-	UserThreads int
 	// ec is the refinement-economics recorder residual predicate spans
 	// are charged to; swapped atomically so queries never race SetEcon.
 	ec atomic.Pointer[econ.Econ]
@@ -956,12 +872,9 @@ func NewHolisticExecutor(t *Table, cfg HolisticConfig) *HolisticExecutor {
 	daemon := holistic.New(reg, mon, cfg.Daemon)
 	ad := NewAdaptiveExecutor(t, cfg.Cracking, "holistic indexing")
 	ad.Registry = reg
-	h := &HolisticExecutor{
-		AdaptiveExecutor: ad,
-		Daemon:           daemon,
-		Acct:             acct,
-		UserThreads:      cfg.UserThreads,
-	}
+	ad.acct = acct
+	ad.userThreads = cfg.UserThreads
+	h := &HolisticExecutor{AdaptiveExecutor: ad, Daemon: daemon}
 	ad.Admit = func(name string, col *cracking.Column) *stats.Entry {
 		entry, _ := daemon.AdmitIndex(name, col, false)
 		daemon.AttachPending(name, ad.Pending(name))
@@ -1028,52 +941,6 @@ func (h *HolisticExecutor) NotePredicateSpan(attr string, lo, hi int64) error {
 		}
 	}
 	return nil
-}
-
-// Count implements Executor: the adaptive select operator bracketed by
-// load accounting so the daemon sees the occupied contexts.
-func (h *HolisticExecutor) Count(attr string, lo, hi int64) (int, error) {
-	h.Acct.Acquire(h.UserThreads)
-	defer h.Acct.Release(h.UserThreads)
-	return h.AdaptiveExecutor.Count(attr, lo, hi)
-}
-
-// Sum implements Executor with the same load-accounting bracket.
-func (h *HolisticExecutor) Sum(attr string, lo, hi int64) (int64, error) {
-	h.Acct.Acquire(h.UserThreads)
-	defer h.Acct.Release(h.UserThreads)
-	return h.AdaptiveExecutor.Sum(attr, lo, hi)
-}
-
-// MinMax implements Executor with the same load-accounting bracket.
-func (h *HolisticExecutor) MinMax(attr string, lo, hi int64) (mn, mx int64, ok bool, err error) {
-	h.Acct.Acquire(h.UserThreads)
-	defer h.Acct.Release(h.UserThreads)
-	return h.AdaptiveExecutor.MinMax(attr, lo, hi)
-}
-
-// SelectRows implements Executor with the same load-accounting bracket.
-func (h *HolisticExecutor) SelectRows(attr string, lo, hi int64) ([]uint32, error) {
-	h.Acct.Acquire(h.UserThreads)
-	defer h.Acct.Release(h.UserThreads)
-	return h.AdaptiveExecutor.SelectRows(attr, lo, hi)
-}
-
-// SelectBitmap implements BitmapSelector with the same load-accounting
-// bracket as the other select forms.
-func (h *HolisticExecutor) SelectBitmap(attr string, lo, hi int64, bm *column.Bitmap) error {
-	h.Acct.Acquire(h.UserThreads)
-	defer h.Acct.Release(h.UserThreads)
-	return h.AdaptiveExecutor.SelectBitmap(attr, lo, hi, bm)
-}
-
-// WalkKeyOrder implements KeyOrderWalker with the same load-accounting
-// bracket as the select forms, so the daemon sees the walk's contexts as
-// occupied.
-func (h *HolisticExecutor) WalkKeyOrder(attr string, fn func(vals []int64, rows []uint32)) (bool, error) {
-	h.Acct.Acquire(h.UserThreads)
-	defer h.Acct.Release(h.UserThreads)
-	return h.AdaptiveExecutor.WalkKeyOrder(attr, fn)
 }
 
 // Close stops the daemon.

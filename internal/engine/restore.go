@@ -106,30 +106,18 @@ func (e *AdaptiveExecutor) exportAttrData(attr string) durable.ColumnData {
 // exactly that occurrence on merge, and tail inserts (with their
 // deletions, for dead tails) replay in row order.
 func (e *AdaptiveExecutor) RestoreAttrData(cd durable.ColumnData) {
+	e.RestoreOverlay(cd)
 	baseRows := uint32(len(cd.Base))
 	p := e.Pending(cd.Name)
-	e.pendMu.Lock()
-	if len(cd.Tails) > 0 {
-		e.tails[cd.Name] = append([]int64(nil), cd.Tails...)
-		e.nextRow[cd.Name] = baseRows + uint32(len(cd.Tails))
-	}
-	var dead map[uint32]struct{}
-	if len(cd.Dead) > 0 {
-		dead = make(map[uint32]struct{}, len(cd.Dead))
-		for _, row := range cd.Dead {
-			dead[row] = struct{}{}
-		}
-		e.deleted[cd.Name] = dead
-	}
-	delete(e.viewCache, cd.Name)
-	e.pendMu.Unlock()
-
 	for _, row := range cd.Dead {
 		if row >= baseRows {
 			break // tail deletions interleave with the inserts below
 		}
 		p.AddDeleteRow(cd.Base[row], row)
 	}
+	e.pendMu.Lock()
+	dead := e.deleted[cd.Name]
+	e.pendMu.Unlock()
 	for i, v := range cd.Tails {
 		row := baseRows + uint32(i)
 		p.AddInsert(v, row)
@@ -163,7 +151,8 @@ func (e *AdaptiveExecutor) InstallRestoredCracker(attr string, c *cracking.Colum
 
 // RestoreOverlay reinstates just the logical overlay (tails and
 // tombstones) of one attribute — the companion of
-// InstallRestoredCracker, which needs no synthetic pending queue.
+// InstallRestoredCracker, which needs no synthetic pending queue, and
+// the first half of RestoreAttrData.
 func (e *AdaptiveExecutor) RestoreOverlay(cd durable.ColumnData) {
 	e.pendMu.Lock()
 	defer e.pendMu.Unlock()
@@ -181,48 +170,21 @@ func (e *AdaptiveExecutor) RestoreOverlay(cd durable.ColumnData) {
 	delete(e.viewCache, cd.Name)
 }
 
-// ExportSorted captures the sorted runs built so far.
-func (e *OfflineExecutor) ExportSorted() []durable.IndexState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return exportSortedMap(e.sorted)
-}
-
-// SeedSorted reinstates a restored sorted run, so the executor serves
-// it instead of re-sorting on first touch.
-func (e *OfflineExecutor) SeedSorted(sc *sortidx.SortedColumn) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sorted[sc.Name()] = sc
-}
-
 // ExportSorted captures the sorted runs built so far. The epoch query
-// counter is deliberately not persisted: a restarted store restarts its
-// monitoring epoch, but seeded runs keep serving index probes.
-func (e *OnlineExecutor) ExportSorted() []durable.IndexState {
+// counter is deliberately not persisted: a restarted online store
+// restarts its monitoring epoch, seeded runs keep serving index probes,
+// and every column still missing a run is sorted when the epoch ends.
+func (e *SortedExecutor) ExportSorted() []durable.IndexState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return exportSortedMap(e.sorted)
-}
-
-// SeedSorted reinstates a restored sorted run. A non-empty sorted map
-// also marks the epoch sort as already paid, so the post-epoch bulk
-// build is skipped.
-func (e *OnlineExecutor) SeedSorted(sc *sortidx.SortedColumn) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sorted[sc.Name()] = sc
-}
-
-func exportSortedMap(sorted map[string]*sortidx.SortedColumn) []durable.IndexState {
-	var states []durable.IndexState
-	names := make([]string, 0, len(sorted))
-	for name := range sorted {
+	names := make([]string, 0, len(e.sorted))
+	for name := range e.sorted {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var states []durable.IndexState
 	for _, name := range names {
-		sc := sorted[name]
+		sc := e.sorted[name]
 		st := durable.IndexState{
 			Attr:    name,
 			Kind:    durable.IndexSorted,
@@ -235,4 +197,12 @@ func exportSortedMap(sorted map[string]*sortidx.SortedColumn) []durable.IndexSta
 		states = append(states, st)
 	}
 	return states
+}
+
+// SeedSorted reinstates a restored sorted run, so the executor serves
+// it instead of re-sorting.
+func (e *SortedExecutor) SeedSorted(sc *sortidx.SortedColumn) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sorted[sc.Name()] = sc
 }

@@ -121,10 +121,11 @@ func Decode(data []byte) (*Dump, error) {
 	count := binary.LittleEndian.Uint64(payload[16:])
 	d.Generation = binary.LittleEndian.Uint64(payload[24:])
 	body := payload[dumpHeaderLen:]
-	need := count * dumpEventSize
-	if uint64(len(body)) < need {
-		return nil, fmt.Errorf("flight: dump body truncated: %d events need %d bytes, have %d", count, need, len(body))
+	// Compare by division: count * dumpEventSize wraps for a hostile count.
+	if count > uint64(len(body))/dumpEventSize {
+		return nil, fmt.Errorf("flight: dump body truncated: %d events do not fit in %d bytes", count, len(body))
 	}
+	need := count * dumpEventSize
 	d.Events = make([]Event, count)
 	for i := range d.Events {
 		rec := body[uint64(i)*dumpEventSize:]
@@ -144,6 +145,9 @@ func Decode(data []byte) (*Dump, error) {
 	}
 	nNames := binary.LittleEndian.Uint32(rest)
 	rest = rest[4:]
+	if uint64(nNames) > uint64(len(rest))/4 {
+		return nil, fmt.Errorf("flight: name table truncated: %d names do not fit in %d bytes", nNames, len(rest))
+	}
 	d.Names = make([]string, 0, nNames)
 	for i := uint32(0); i < nNames; i++ {
 		if len(rest) < 4 {

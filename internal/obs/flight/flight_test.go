@@ -1,6 +1,9 @@
 package flight
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -313,4 +316,57 @@ func TestWatchdogTornTail(t *testing.T) {
 	if st.Anomalies != 1 || st.DumpsWritten != 1 || st.LastTrigger != "torn_wal_tail" {
 		t.Errorf("state = %+v", st)
 	}
+}
+
+// reframe rewrites the length and checksum of a dump frame after its
+// payload was edited, so Decode gets past the frame checks.
+func reframe(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-8))
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[8:], castagnoli))
+	return b
+}
+
+// TestDecodeRejectsHostileCounts covers counts that would overflow or
+// exhaust memory if trusted: a valid checksum does not make them true.
+func TestDecodeRejectsHostileCounts(t *testing.T) {
+	r := NewRecorder(8)
+	r.RecordCheckpoint(1, 1, 1)
+	data := Encode(r, TriggerManual, 1)
+	for _, tc := range []struct {
+		name string
+		mut  func([]byte)
+	}{
+		// count * 64 wraps to 0 for 1<<58.
+		{"event-count-wraps", func(b []byte) { binary.LittleEndian.PutUint64(b[8+16:], 1<<58) }},
+		{"event-count-huge", func(b []byte) { binary.LittleEndian.PutUint64(b[8+16:], 1<<40) }},
+		{"name-count-huge", func(b []byte) { binary.LittleEndian.PutUint32(b[len(b)-4:], math.MaxUint32) }},
+	} {
+		buf := append([]byte(nil), data...)
+		tc.mut(buf)
+		if _, err := Decode(reframe(buf)); err == nil {
+			t.Errorf("%s: Decode accepted the dump", tc.name)
+		}
+	}
+}
+
+// FuzzFlightDecode feeds Decode arbitrary dumps: it must reject or parse
+// them without panicking. Each input is decoded as given and again
+// reframed, so mutations also reach the parser behind the checksum.
+func FuzzFlightDecode(f *testing.F) {
+	r := NewRecorder(4)
+	r.RecordQuery(uint8(obs.OpCount), 1, 1500, 900, 400, 42)
+	r.RecordRefine(r.Intern("a"), 2, 5, 3, 123.5, 17)
+	f.Add(Encode(r, TriggerManual, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(b []byte) {
+			d, err := Decode(b)
+			if err == nil && 8+dumpHeaderLen+len(d.Events)*dumpEventSize > len(b) {
+				t.Fatalf("decoded %d events from %d bytes", len(d.Events), len(b))
+			}
+		}
+		check(data)
+		if len(data) >= 8 {
+			check(reframe(append([]byte(nil), data...)))
+		}
+	})
 }

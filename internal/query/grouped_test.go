@@ -181,7 +181,7 @@ func mergePreds(preds []Predicate) []Predicate {
 func TestGroupedSortStrategyRuns(t *testing.T) {
 	const domain = 1 << 10
 	tab, cols := buildTable(2, 4000, domain, 37)
-	off := engine.NewOfflineExecutor(tab, 2)
+	off := engine.NewSortedExecutor(tab, 2, 0)
 	r := New(tab, off, 2)
 	r.SetGroupStrategy(groupby.StrategySort)
 	aggs := []groupby.Agg{groupby.Count(), groupby.Sum("b")}

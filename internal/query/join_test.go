@@ -42,7 +42,7 @@ func joinExecs(tab *engine.Table, threads int) map[string]engine.Executor {
 	crackCfg := cracking.Config{Kernel: cracking.KernelVectorized, ParallelWorkers: threads, WithRows: true}
 	return map[string]engine.Executor{
 		"scan":     engine.NewScanExecutor(tab, threads),
-		"offline":  engine.NewOfflineExecutor(tab, threads),
+		"offline":  engine.NewSortedExecutor(tab, threads, 0),
 		"adaptive": engine.NewAdaptiveExecutor(tab, crackCfg, ""),
 	}
 }
@@ -168,7 +168,7 @@ func sortPairs(p [][2]uint32) {
 func TestJoinGroupedMatchesOracle(t *testing.T) {
 	lt, rt := joinFixture(t, 500, 80, 31)
 	lExec := engine.NewAdaptiveExecutor(lt, cracking.Config{WithRows: true}, "")
-	rExec := engine.NewOfflineExecutor(rt, 2)
+	rExec := engine.NewSortedExecutor(rt, 2, 0)
 	defer lExec.Close()
 	defer rExec.Close()
 	lr := New(lt, lExec, 2)
@@ -275,8 +275,8 @@ func TestJoinFeedsPredicateSink(t *testing.T) {
 // merge join returns the same folds as the hash join.
 func TestJoinMergeConvergence(t *testing.T) {
 	lt, rt := joinFixture(t, 3000, 500, 61)
-	lExec := engine.NewOfflineExecutor(lt, 2)
-	rExec := engine.NewOfflineExecutor(rt, 2)
+	lExec := engine.NewSortedExecutor(lt, 2, 0)
+	rExec := engine.NewSortedExecutor(rt, 2, 0)
 	defer lExec.Close()
 	defer rExec.Close()
 	lr := New(lt, lExec, 2)

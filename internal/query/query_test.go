@@ -53,7 +53,7 @@ var names = map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
 
 func TestPlanOrdersBySelectivity(t *testing.T) {
 	tab, _ := buildTable(3, 5000, 1000, 1)
-	off := engine.NewOfflineExecutor(tab, 1)
+	off := engine.NewSortedExecutor(tab, 1, 0)
 	off.PrepareAll()
 	r := New(tab, off, 2)
 
@@ -226,8 +226,8 @@ func allModeExecutors(t *testing.T, tab *engine.Table) map[string]engine.Executo
 	t.Helper()
 	return map[string]engine.Executor{
 		"scan":       engine.NewScanExecutor(tab, 2),
-		"offline":    engine.NewOfflineExecutor(tab, 2),
-		"online":     engine.NewOnlineExecutor(tab, 2, 10),
+		"offline":    engine.NewSortedExecutor(tab, 2, 0),
+		"online":     engine.NewSortedExecutor(tab, 2, 10),
 		"adaptive":   engine.NewAdaptiveExecutor(tab, cracking.Config{WithRows: true}, ""),
 		"stochastic": engine.NewAdaptiveExecutor(tab, cracking.Config{Stochastic: true, WithRows: true, Seed: 5}, "stochastic"),
 		"ccgi":       engine.NewCCGIExecutor(tab, 2, 8, cracking.Config{WithRows: true}),
