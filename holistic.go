@@ -576,8 +576,9 @@ func (s *Store) Insert(attr string, v int64) error {
 // materialized results and conjunctive probes stay consistent even for
 // duplicated values (under Config.NoRowIDs the merge falls back to
 // removing an unspecified occurrence; multiset counts and aggregates
-// are exact either way). Resolving the row scans the attribute once —
-// updates are expected in the paper's small batches, not bulk loads.
+// are exact either way). Resolving the row costs one pass over the
+// attribute's updated rows plus a sequential equality scan up to the
+// first live raw match, with no per-row map probes.
 // Supported by the adaptive, stochastic and holistic modes; the sorted
 // and scan modes have no pending-update machinery (their index is the
 // data) and return an error.

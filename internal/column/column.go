@@ -180,6 +180,22 @@ func SumRange(vals []int64, lo, hi int64) int64 {
 	return s
 }
 
+// IndexEq returns the first position holding v, or -1: the point-lookup
+// counterpart of the range kernels, for callers that need one match
+// rather than all of them. A plain early-exit loop; its one branch is
+// taken at most once, so it predicts well and the scan runs at memory
+// bandwidth.
+//
+//holistic:noalloc
+func IndexEq(vals []int64, v int64) int {
+	for i, x := range vals {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
 // MinMaxRange returns the minimum and maximum of the qualifying values
 // and how many qualified; min/max are meaningful only when n > 0. A
 // value that does not qualify enters the folds as hi-1 (for the min)

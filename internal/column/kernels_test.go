@@ -53,6 +53,22 @@ func refMinMax(vals []int64, lo, hi int64) (mn, mx int64, n int) {
 	return mn, mx, n
 }
 
+func refIndexEq(vals []int64, v int64) int {
+	for i, x := range vals {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
+func checkIndexEq(t *testing.T, vals []int64, v int64) {
+	t.Helper()
+	if got, want := IndexEq(vals, v), refIndexEq(vals, v); got != want {
+		t.Fatalf("IndexEq(len=%d, v=%d) = %d, want %d", len(vals), v, got, want)
+	}
+}
+
 // checkRangeKernels compares every range kernel against the reference
 // on one input: vals, the candidate positions sel (any order, possibly
 // at or beyond len(vals)) and the bounds.
@@ -219,6 +235,29 @@ func TestRangeKernelsDifferential(t *testing.T) {
 			}
 		}
 	}
+	// IndexEq: the value wherever edgeVals happens to put it, then absent,
+	// then only at the last and only at the first position.
+	for _, n := range []int{0, 1, 63, 64, 65, 1025} {
+		for _, v := range []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 40} {
+			vals := edgeVals(rng, n, v, v+1, false)
+			checkIndexEq(t, vals, v)
+			absent := slices.Clone(vals)
+			for i := range absent {
+				if absent[i] == v {
+					absent[i] = v ^ 1
+				}
+			}
+			checkIndexEq(t, absent, v)
+			if n == 0 {
+				continue
+			}
+			last := slices.Clone(absent)
+			last[n-1] = v
+			checkIndexEq(t, last, v)
+			absent[0] = v
+			checkIndexEq(t, absent, v)
+		}
+	}
 }
 
 // TestRangeKernelsAllocs pins the allocation behaviour of the sequential
@@ -265,7 +304,8 @@ func TestRangeKernelsAllocs(t *testing.T) {
 }
 
 // FuzzRangeKernels holds every kernel to the reference on arbitrary
-// values (8 little-endian bytes each), bounds and candidate positions.
+// values (8 little-endian bytes each), bounds and candidate positions;
+// IndexEq searches for each bound.
 // Each value's lowest bit decides whether its position is a candidate;
 // two positions past the end are always candidates. The seed corpus
 // lives in testdata/fuzz/FuzzRangeKernels.
@@ -282,5 +322,7 @@ func FuzzRangeKernels(f *testing.F) {
 			}
 		}
 		checkRangeKernels(t, vals, sel, lo, hi)
+		checkIndexEq(t, vals, lo)
+		checkIndexEq(t, vals, hi)
 	})
 }

@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -129,6 +131,50 @@ func TestWALOversizedLengthIsTorn(t *testing.T) {
 			t.Errorf("length %#x: ReadLog = %d records, torn %v; want 0, true", n, len(recs), torn)
 		}
 	}
+}
+
+// reframeWAL rewrites each frame of a WAL byte string in place: its
+// length is clamped to the bytes present and its checksum recomputed, so
+// a mutated payload reaches decodePayload instead of failing the CRC.
+func reframeWAL(b []byte) []byte {
+	for rest := b; len(rest) >= 8; {
+		n := min(uint64(binary.LittleEndian.Uint32(rest)), uint64(len(rest)-8))
+		binary.LittleEndian.PutUint32(rest, uint32(n))
+		binary.LittleEndian.PutUint32(rest[4:], crc32.Checksum(rest[8:8+n], castagnoli))
+		rest = rest[8+n:]
+	}
+	return b
+}
+
+// FuzzReadLog feeds ReadLog arbitrary segments, as given and reframed.
+// It must not panic, the records it returns must re-encode to exactly
+// the prefix it consumed, and it reports a torn tail exactly when that
+// prefix is not the whole input. The seed corpus lives in
+// testdata/fuzz/FuzzReadLog.
+func FuzzReadLog(f *testing.F) {
+	var seg []byte
+	for _, rec := range testRecords() {
+		seg = appendFrame(seg, rec)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(b []byte) {
+			recs, torn := ReadLog(b)
+			var enc []byte
+			for _, rec := range recs {
+				enc = appendFrame(enc, rec)
+			}
+			if !bytes.HasPrefix(b, enc) {
+				t.Fatalf("%d records re-encode to %x, not a prefix of %x", len(recs), enc, b)
+			}
+			if torn != (len(enc) < len(b)) {
+				t.Fatalf("torn = %v after consuming %d of %d bytes", torn, len(enc), len(b))
+			}
+		}
+		check(data)
+		check(reframeWAL(bytes.Clone(data)))
+	})
 }
 
 func TestSegmentRoundTrip(t *testing.T) {

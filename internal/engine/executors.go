@@ -483,34 +483,61 @@ func (e *AdaptiveExecutor) Insert(attr string, v int64) error {
 }
 
 // currentRowOfLocked returns the lowest row id whose current logical
-// value in attr equals v, scanning base values and the appended tail
-// through the overlay — O(column) under pendMu, sized for the paper's
-// small update batches rather than bulk deletes. Caller must hold
-// pendMu.
+// value in attr equals v. A row's current value is its update if it has
+// one and its raw (base or tail) value otherwise, so the answer is the
+// lower of two candidates: the lowest live updated row whose new value
+// is v, found by one pass over the update overlay, and the first raw
+// occurrence of v below it that is neither deleted nor updated, found
+// by column.IndexEq resuming after each such skipped hit. The cost is
+// O(|updated|) map iteration plus a sequential scan up to the first
+// live raw match — not a map probe per row — under pendMu. Caller must
+// hold pendMu.
 func (e *AdaptiveExecutor) currentRowOfLocked(attr string, base []int64, v int64) (uint32, bool) {
 	dead := e.deleted[attr]
 	upd := e.updated[attr]
-	at := func(row uint32, raw int64) (int64, bool) {
-		if _, d := dead[row]; d {
-			return 0, false
+	best, found := uint32(0), false
+	for row, nv := range upd {
+		if nv != v || (found && row >= best) {
+			continue
 		}
-		if nv, ok := upd[row]; ok {
-			return nv, true
-		}
-		return raw, true
-	}
-	for i, raw := range base {
-		if cur, ok := at(uint32(i), raw); ok && cur == v {
-			return uint32(i), true
+		if _, d := dead[row]; !d {
+			best, found = row, true
 		}
 	}
-	for i, raw := range e.tails[attr] {
-		row := uint32(len(base) + i)
-		if cur, ok := at(row, raw); ok && cur == v {
+	// Only raw rows below best can beat it. A raw hit is the answer
+	// unless its row was deleted or rewritten; a row rewritten to v is
+	// already a candidate for best.
+	search := func(vals []int64, off uint32) (uint32, bool) {
+		if found {
+			if best <= off {
+				return 0, false
+			}
+			vals = vals[:min(len(vals), int(best-off))]
+		}
+		for i := 0; i < len(vals); i++ {
+			j := column.IndexEq(vals[i:], v)
+			if j < 0 {
+				return 0, false
+			}
+			i += j
+			row := off + uint32(i)
+			if _, d := dead[row]; d {
+				continue
+			}
+			if _, u := upd[row]; u {
+				continue
+			}
 			return row, true
 		}
+		return 0, false
 	}
-	return 0, false
+	if row, ok := search(base, 0); ok {
+		return row, true
+	}
+	if row, ok := search(e.tails[attr], uint32(len(base))); ok {
+		return row, true
+	}
+	return best, found
 }
 
 // Delete implements Deleter: the tuple whose current value in attr is v

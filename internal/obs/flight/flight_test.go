@@ -290,6 +290,26 @@ func TestWatchdogConvergenceRegression(t *testing.T) {
 	}
 }
 
+// TestWatchdogRuleOrder pins the rule priority: a window that breaches
+// the p99 SLO while convergence regresses is named after the p99 breach,
+// and a convergence regression on its own is still reported.
+func TestWatchdogRuleOrder(t *testing.T) {
+	w := NewWatchdog(WatchdogConfig{AbsoluteP99: time.Millisecond, MinSamples: 5, ConvergenceSlack: 0.05})
+	var h obs.Histogram
+	if v := observeHist(w, &h, 0.8, true, 0); v.Trigger != TriggerNone {
+		t.Fatalf("first reading triggered %v", v.Trigger)
+	}
+	for i := 0; i < 50; i++ {
+		h.RecordNanos(5_000_000)
+	}
+	if v := observeHist(w, &h, 0.5, true, 0); v.Trigger != TriggerP99 {
+		t.Fatalf("p99 breach with a convergence regression triggered %v, want p99_slo", v.Trigger)
+	}
+	if v := observeHist(w, &h, 0.4, true, 0); v.Trigger != TriggerConvergence {
+		t.Fatalf("convergence regression alone triggered %v, want convergence_regression", v.Trigger)
+	}
+}
+
 func TestWatchdogPanicDelta(t *testing.T) {
 	w := NewWatchdog(WatchdogConfig{Cooldown: time.Hour})
 	if v := w.Observe(Observation{WorkerPanics: 0}); v.Trigger != TriggerNone {

@@ -192,24 +192,26 @@ func (w *Watchdog) Observe(o Observation) Verdict {
 	}
 	w.lastPanics = o.WorkerPanics
 
-	// Rule 2: convergence ratio regressed below its best.
-	if v.Trigger == TriggerNone && o.HaveConvergence {
-		if w.haveConv && o.Convergence+w.cfg.ConvergenceSlack < w.bestConv {
-			v.Trigger = TriggerConvergence
-		}
-		if !w.haveConv || o.Convergence > w.bestConv {
-			w.bestConv = o.Convergence
-			w.haveConv = true
-		}
-	}
-
-	// Rule 3: window p99 against the absolute SLO and the rolling
-	// baseline multiple.
+	// Rule 2: window p99 against the absolute SLO and the rolling
+	// baseline multiple. It outranks convergence: a latency breach is
+	// what users see, so the dump is named after it.
 	if v.Trigger == TriggerNone && judged {
 		if w.cfg.AbsoluteP99 > 0 && p99 > float64(w.cfg.AbsoluteP99.Nanoseconds()) {
 			v.Trigger = TriggerP99
 		} else if w.baseline > 0 && p99 > w.cfg.SLOMultiple*w.baseline {
 			v.Trigger = TriggerP99
+		}
+	}
+
+	// Rule 3: convergence ratio regressed below its best. The best is
+	// tracked whichever rule fired.
+	if o.HaveConvergence {
+		if v.Trigger == TriggerNone && w.haveConv && o.Convergence+w.cfg.ConvergenceSlack < w.bestConv {
+			v.Trigger = TriggerConvergence
+		}
+		if !w.haveConv || o.Convergence > w.bestConv {
+			w.bestConv = o.Convergence
+			w.haveConv = true
 		}
 	}
 
